@@ -440,6 +440,60 @@ fn hostile_deep_nesting_frame_gets_an_error_not_a_crash() {
 }
 
 #[test]
+fn max_size_string_frame_does_not_stall_the_reactor() {
+    // Regression: the JSON parser used to re-validate the rest of the
+    // frame for every string character, so one frame near the size cap
+    // pinned the single reactor thread, and every other connection with
+    // it, for tens of seconds. It must get exactly one reply while a
+    // health check on a second connection answers promptly.
+    use mcdvfs_serve::{read_frame, write_frame, MAX_FRAME_BYTES};
+    use std::time::{Duration, Instant};
+    let server =
+        Server::start("127.0.0.1:0", ServeState::new(engine(), trace()), config(1)).unwrap();
+    let mut big = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut probe = Client::connect(server.addr()).unwrap();
+    let head = r#"{"query":"health","pad":""#;
+    let frame = format!(
+        "{head}{}\"}}",
+        "a".repeat(MAX_FRAME_BYTES - head.len() - 16)
+    );
+    assert!(frame.len() < MAX_FRAME_BYTES);
+    write_frame(&mut big, &frame).unwrap();
+    let started = Instant::now();
+    assert!(matches!(
+        probe.request(&Request::Health).unwrap(),
+        Response::Health(_)
+    ));
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(2), "health took {waited:?}");
+    big.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = std::io::BufReader::new(big.try_clone().unwrap());
+    let reply = read_frame(&mut reader).unwrap().expect("a reply frame");
+    assert!(
+        matches!(
+            Response::decode(&reply),
+            Ok(Response::Health(_) | Response::Error(_))
+        ),
+        "unexpected reply: {reply}"
+    );
+    // Exactly one: nothing else arrives on that connection.
+    big.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    match read_frame(&mut reader) {
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("expected no second reply, got {other:?}"),
+    }
+    drop(reader);
+    drop(big);
+    drop(probe);
+    let _ = server.shutdown();
+}
+
+#[test]
 fn full_queue_sheds_with_overloaded_instead_of_stalling() {
     // One slow worker and a two-slot queue: concurrent clients with
     // distinct budgets (the cache cannot absorb them) must overflow it.
