@@ -20,6 +20,7 @@
 pub mod provenance;
 pub mod quickbench;
 
+pub use mcdvfs_types::results_dir;
 pub use provenance::{
     checksum_string, fnv1a64, ArtifactEntry, Harness, Json, Manifest, PROFILE_ENV,
 };
@@ -28,7 +29,6 @@ use mcdvfs_core::report::Table;
 use mcdvfs_sim::{CharacterizationGrid, System};
 use mcdvfs_types::FrequencyGrid;
 use mcdvfs_workloads::{Benchmark, SampleTrace};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The inefficiency budgets the paper's figures sweep.
@@ -36,24 +36,6 @@ pub const PAPER_BUDGETS: [f64; 3] = [1.0, 1.3, 1.6];
 
 /// The cluster thresholds the paper's figures sweep.
 pub const PAPER_THRESHOLDS: [f64; 3] = [0.01, 0.03, 0.05];
-
-/// Directory that CSV mirrors of the printed data land in.
-///
-/// `cargo test`/`cargo bench` run their binaries with the *package* root
-/// as cwd while `cargo run` keeps the caller's, so a bare relative
-/// `results` would scatter artifacts depending on the entry point.
-/// Anchor on the workspace root instead; `MCDVFS_RESULTS` overrides.
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("MCDVFS_RESULTS") {
-        return PathBuf::from(dir);
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(|workspace| workspace.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
 
 /// The simulated platform every experiment runs on.
 #[must_use]

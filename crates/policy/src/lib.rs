@@ -52,7 +52,7 @@ mod catalog;
 mod governor;
 mod policy;
 
-pub use catalog::SettingCatalog;
+pub use catalog::{Prediction, SettingCatalog};
 pub use governor::{PolicyCounters, PolicyGovernor};
 pub use policy::{
     build_policy, DeadlineDriven, EnergyBudgetDriven, Feedback, Policy, PolicyDecision, Reactive,

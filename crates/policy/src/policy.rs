@@ -13,6 +13,10 @@
 //! [`SettingCatalog::scale_energy`]), blended by the per-domain energy
 //! attribution the feedback carries. Everything is pure `f64` arithmetic
 //! over fixed iteration orders, so every policy is bit-deterministic.
+//!
+//! A search builds one [`Prediction`](crate::Prediction) per decision —
+//! each domain's time and energy term for every level on its axis — so
+//! scoring a candidate is `n_domains` table loads with no allocation.
 
 use crate::catalog::SettingCatalog;
 use mcdvfs_core::ratelimit::RateLimiter;
@@ -117,13 +121,13 @@ impl Policy for DeadlineDriven {
             // No observation yet: the only deadline-safe choice is fastest.
             return decision(catalog.fastest(), catalog.len());
         };
+        let prediction = catalog.predict(fb.time, fb.energy, fb.index, &fb.domain_weights);
         let mut best: Option<(usize, f64)> = None;
         for i in 0..catalog.len() {
-            let t = catalog.scale_time(fb.time, fb.index, i, &fb.domain_weights);
-            if t > ctx.deadline {
+            if prediction.time_at(i) > ctx.deadline {
                 continue;
             }
-            let e = catalog.scale_energy(fb.energy, fb.index, i, &fb.domain_weights);
+            let e = prediction.energy_at(i);
             if best.is_none_or(|(_, be)| e < be) {
                 best = Some((i, e));
             }
@@ -178,10 +182,11 @@ impl Policy for EnergyBudgetDriven {
             // account for and start at the slowest setting.
             return decision(catalog.slowest(), catalog.len());
         };
+        let prediction = catalog.predict(fb.time, fb.energy, fb.index, &fb.domain_weights);
         let mut best_fit: Option<(usize, f64)> = None;
         let mut cheapest: (usize, f64) = (catalog.slowest(), f64::INFINITY);
         for i in 0..catalog.len() {
-            let e = catalog.scale_energy(fb.energy, fb.index, i, &fb.domain_weights);
+            let e = prediction.energy_at(i);
             if e < cheapest.1 {
                 cheapest = (i, e);
             }

@@ -27,11 +27,12 @@
 
 use crate::error::SnapshotError;
 use crate::format::Snapshot;
-use mcdvfs_types::Json;
+use mcdvfs_types::{results_dir, Json};
 use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
 /// File extension for snapshot files.
@@ -88,23 +89,12 @@ impl SnapshotStore {
         Self::open(Self::default_dir())
     }
 
-    /// The workspace-anchored default store directory: `results/store/`
-    /// under the workspace root (or under `MCDVFS_RESULTS` when set).
-    ///
-    /// Mirrors `mcdvfs_bench::results_dir` so artifacts never scatter by
-    /// entry point: `cargo test`/`cargo bench` run with the *package* root
-    /// as cwd while `cargo run` keeps the caller's, so a bare relative path
-    /// would depend on how the binary was launched.
+    /// The default store directory: `store/` under the run-time
+    /// [`results_dir`] (`MCDVFS_RESULTS`, else the workspace root's
+    /// `results/` found by walking up from the current directory).
     #[must_use]
     pub fn default_dir() -> PathBuf {
-        if let Some(dir) = std::env::var_os("MCDVFS_RESULTS") {
-            return PathBuf::from(dir).join("store");
-        }
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(|workspace| workspace.join("results").join("store"))
-            .unwrap_or_else(|| PathBuf::from("results/store"))
+        results_dir().join("store")
     }
 
     /// The directory this store reads and writes.
@@ -135,7 +125,7 @@ impl SnapshotStore {
     pub fn persist(&self, snapshot: &Snapshot) -> Result<u64, SnapshotError> {
         let bytes = snapshot.encode();
         let finalp = self.path_for(snapshot.fingerprint);
-        let tmp = finalp.with_extension(format!("{SNAP_EXT}.tmp.{}", std::process::id()));
+        let tmp = self.temp_path(&format!("{:016x}.{SNAP_EXT}", snapshot.fingerprint));
         fs::write(&tmp, &bytes)?;
         if let Err(e) = fs::rename(&tmp, &finalp) {
             let _ = fs::remove_file(&tmp);
@@ -252,11 +242,19 @@ impl SnapshotStore {
             .collect();
         let text = Json::Obj(members).render();
         let path = self.dir.join(INDEX_NAME);
-        let tmp = self
-            .dir
-            .join(format!("{INDEX_NAME}.tmp.{}", std::process::id()));
+        let tmp = self.temp_path(INDEX_NAME);
         fs::write(&tmp, text.as_bytes())?;
         fs::rename(&tmp, &path)
+    }
+
+    /// A fresh temp sibling for `name`: `<name>.tmp.<pid>.<n>`, where `n`
+    /// comes from a process-wide counter, so two threads writing the same
+    /// target never share a temp file (and truncate each other's write).
+    fn temp_path(&self, name: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        self.dir
+            .join(format!("{name}.tmp.{}.{n}", std::process::id()))
     }
 
     fn read_index(&self) -> Option<BTreeMap<String, u64>> {
@@ -372,6 +370,29 @@ mod tests {
             std::env::temp_dir().join(format!("mcdvfs-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         SnapshotStore::open(dir).unwrap()
+    }
+
+    #[test]
+    fn concurrent_persists_of_one_snapshot_never_fail_or_tear() {
+        let store = temp_store("race");
+        let snap = snapshot_named("gobmk", 1.0);
+        let bytes = snap.encode();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..25 {
+                        store.persist(&snap).expect("persist");
+                        let loaded = store
+                            .load(snap.fingerprint)
+                            .expect("load")
+                            .expect("present");
+                        assert_eq!(loaded.snapshot.encode(), bytes, "bit-identical");
+                    }
+                });
+            }
+        });
+        assert_eq!(store.fingerprints().unwrap(), vec![snap.fingerprint]);
+        fs::remove_dir_all(store.dir()).unwrap();
     }
 
     #[test]

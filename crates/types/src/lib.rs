@@ -39,6 +39,7 @@ mod freq;
 mod grid;
 mod hash;
 mod json;
+mod results;
 mod rng;
 mod sample;
 mod units;
@@ -49,6 +50,7 @@ pub use freq::{CpuFreq, FreqSetting, MemFreq};
 pub use grid::{FrequencyGrid, Settings};
 pub use hash::{fnv1a64, hash_measurements, Fnv1a64};
 pub use json::Json;
+pub use results::results_dir;
 pub use rng::SplitMix64;
 pub use sample::{
     SampleCharacteristics, SampleMeasurement, BYTES_PER_DRAM_ACCESS, INSTRUCTIONS_PER_SAMPLE,
