@@ -5,15 +5,11 @@
 //! energy-management algorithms and of the Linux cpufreq/memfreq governors
 //! its infrastructure extends.
 //!
-//! Provided policies:
+//! This module ships the governors the paper's figures and claims use:
 //!
-//! * [`FixedGovernor`] — the `userspace` governor the paper uses to pin
-//!   settings for its characterization runs;
-//! * [`PerformanceGovernor`] / [`PowersaveGovernor`] — pin to the grid
-//!   maximum/minimum;
-//! * [`OndemandGovernor`] — a load-driven baseline: CPU rails to maximum
-//!   under sustained load (as Linux ondemand does), memory frequency
-//!   follows observed bandwidth demand;
+//! * [`FixedGovernor`] — pins one setting: the `userspace` governor the
+//!   paper uses for its characterization runs, or the `performance` /
+//!   `powersave` pins at the grid maximum/minimum;
 //! * [`OracleOptimalGovernor`] — tracks the paper's per-sample optimal
 //!   settings, searching the full grid every interval;
 //! * [`OracleClusterGovernor`] — follows precomputed stable regions,
@@ -21,26 +17,23 @@
 //!   proposal, Section VII);
 //! * [`CoScaleGovernor`] — a CoScale-style greedy searcher that restarts
 //!   from the maximum setting every interval (the strategy the paper
-//!   argues is inefficient);
-//! * [`PredictiveGovernor`] — a runtime-plausible tuner that re-searches
-//!   only when its phase predictor expires or the observed CPI drifts
-//!   (the paper's learning proposal, Section VII).
+//!   argues is inefficient), with a warm-start variant.
 //!
-//! The oracle, CoScale and predictive governors consult the
-//! characterization grid as their performance/energy model; what the paper
-//! studies — and what distinguishes them — is *how often they search* and
-//! *from where*, which is exactly what the tuning-overhead accounting in
+//! Online policies that decide from runtime feedback alone (deadline,
+//! energy-budget and reactive) live in `mcdvfs-policy` and reach this
+//! interface through its `PolicyGovernor` adapter.
+//!
+//! The oracle and CoScale governors consult the characterization grid as
+//! their performance/energy model; what the paper studies — and what
+//! distinguishes them — is *how often they search* and *from where*, which
+//! is exactly what the tuning-overhead accounting in
 //! [`GovernedRun`](crate::GovernedRun) charges for.
 
 mod coscale;
 mod oracle;
-mod predictive;
-mod profile;
 
 pub use coscale::CoScaleGovernor;
 pub use oracle::{OracleClusterGovernor, OracleOptimalGovernor, RegionChoice};
-pub use predictive::{PhasePredictor, PredictiveGovernor};
-pub use profile::{ProfileGovernor, WorkloadProfile};
 
 use mcdvfs_types::{FreqSetting, FrequencyGrid, SampleMeasurement};
 
@@ -53,16 +46,6 @@ pub struct Observation {
     pub setting: FreqSetting,
     /// Its measurement.
     pub measurement: SampleMeasurement,
-    /// DRAM bytes the sample moved (from PMU counters).
-    pub dram_bytes: u64,
-}
-
-impl Observation {
-    /// Achieved DRAM bandwidth over the sample, bytes/second.
-    #[must_use]
-    pub fn dram_bandwidth(&self) -> f64 {
-        self.dram_bytes as f64 / self.measurement.time.value()
-    }
 }
 
 /// A governor's decision for the upcoming sample.
@@ -115,269 +98,57 @@ pub trait Governor {
     fn decide(&mut self, next_sample: usize, prev: Option<&Observation>) -> Decision;
 }
 
-/// The `userspace` governor: a fixed setting.
+/// Pins the platform at one setting for the whole run.
 #[derive(Debug, Clone)]
 pub struct FixedGovernor {
+    name: &'static str,
     setting: FreqSetting,
 }
 
 impl FixedGovernor {
-    /// Pins the platform at `setting`.
+    /// The `userspace` governor: pins the platform at `setting`.
     #[must_use]
     pub fn new(setting: FreqSetting) -> Self {
-        Self { setting }
-    }
-}
-
-impl Governor for FixedGovernor {
-    fn name(&self) -> &str {
-        "userspace"
-    }
-
-    fn decide(&mut self, _next_sample: usize, _prev: Option<&Observation>) -> Decision {
-        Decision::reuse(self.setting)
-    }
-}
-
-/// Pins both domains at the grid maximum.
-#[derive(Debug, Clone)]
-pub struct PerformanceGovernor {
-    setting: FreqSetting,
-}
-
-impl PerformanceGovernor {
-    /// Creates the governor for `grid`.
-    #[must_use]
-    pub fn new(grid: FrequencyGrid) -> Self {
         Self {
+            name: "userspace",
+            setting,
+        }
+    }
+
+    /// The `performance` governor: pins both domains at the maximum of
+    /// `grid`.
+    #[must_use]
+    pub fn performance(grid: FrequencyGrid) -> Self {
+        Self {
+            name: "performance",
             setting: grid.max_setting(),
         }
     }
-}
 
-impl Governor for PerformanceGovernor {
-    fn name(&self) -> &str {
-        "performance"
-    }
-
-    fn decide(&mut self, _next_sample: usize, _prev: Option<&Observation>) -> Decision {
-        Decision::reuse(self.setting)
-    }
-}
-
-/// Pins both domains at the grid minimum.
-#[derive(Debug, Clone)]
-pub struct PowersaveGovernor {
-    setting: FreqSetting,
-}
-
-impl PowersaveGovernor {
-    /// Creates the governor for `grid`.
+    /// The `powersave` governor: pins both domains at the minimum of
+    /// `grid`.
     #[must_use]
-    pub fn new(grid: FrequencyGrid) -> Self {
+    pub fn powersave(grid: FrequencyGrid) -> Self {
         Self {
+            name: "powersave",
             setting: grid.min_setting(),
         }
     }
 }
 
-impl Governor for PowersaveGovernor {
+impl Governor for FixedGovernor {
     fn name(&self) -> &str {
-        "powersave"
+        self.name
     }
 
     fn decide(&mut self, _next_sample: usize, _prev: Option<&Observation>) -> Decision {
         Decision::reuse(self.setting)
-    }
-}
-
-/// Load-driven baseline: `ondemand` for the CPU plus a bandwidth-driven
-/// memory governor (the devfreq pattern).
-///
-/// SPEC-style samples never idle, so the CPU side rails to maximum — the
-/// realistic (and energy-oblivious) behaviour of Linux ondemand under
-/// sustained load. The memory side picks the lowest frequency whose
-/// effective bandwidth keeps the *observed* demand below a utilization
-/// target.
-#[derive(Debug, Clone)]
-pub struct OndemandGovernor {
-    grid: FrequencyGrid,
-    /// Utilization target for the memory channel (e.g. `0.6`).
-    mem_target: f64,
-    /// Effective bandwidth at each memory step, bytes/s, ascending.
-    mem_bandwidths: Vec<(u32, f64)>,
-    current: FreqSetting,
-}
-
-impl OndemandGovernor {
-    /// Creates the governor. `mem_bandwidth_of` maps a memory frequency in
-    /// MHz to the channel's effective bandwidth in bytes/second (supplied
-    /// by the platform's latency model).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mem_target` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(
-        grid: FrequencyGrid,
-        mem_target: f64,
-        mem_bandwidth_of: impl Fn(u32) -> f64,
-    ) -> Self {
-        assert!(mem_target > 0.0 && mem_target <= 1.0, "target in (0, 1]");
-        let mem_bandwidths = grid
-            .mem_freqs()
-            .map(|f| (f.mhz(), mem_bandwidth_of(f.mhz())))
-            .collect();
-        Self {
-            grid,
-            mem_target,
-            mem_bandwidths,
-            current: grid.max_setting(),
-        }
-    }
-}
-
-impl Governor for OndemandGovernor {
-    fn name(&self) -> &str {
-        "ondemand"
-    }
-
-    fn decide(&mut self, _next_sample: usize, prev: Option<&Observation>) -> Decision {
-        let cpu = self.grid.max_setting().cpu; // sustained load rails up
-        let mem = match prev {
-            None => self.grid.max_setting().mem,
-            Some(obs) => {
-                let demand = obs.dram_bandwidth();
-                self.mem_bandwidths
-                    .iter()
-                    .find(|&&(_, bw)| demand <= bw * self.mem_target)
-                    .map(|&(mhz, _)| mcdvfs_types::MemFreq::from_mhz(mhz))
-                    .unwrap_or(self.grid.max_setting().mem)
-            }
-        };
-        let setting = FreqSetting::new(cpu, mem);
-        // Ondemand's decision is O(#mem steps) table walk, not a search.
-        let evaluated = usize::from(setting != self.current) * self.mem_bandwidths.len();
-        self.current = setting;
-        Decision {
-            setting,
-            settings_evaluated: evaluated,
-            region_start: evaluated > 0,
-        }
-    }
-}
-
-/// Linux's `conservative` governor pattern: like [`OndemandGovernor`] but
-/// stepping one frequency step per interval instead of jumping, trading
-/// reaction latency for fewer large transitions (and smaller voltage
-/// swings).
-#[derive(Debug, Clone)]
-pub struct ConservativeGovernor {
-    grid: FrequencyGrid,
-    /// Utilization target for the memory channel.
-    mem_target: f64,
-    /// Effective bandwidth at each memory step, bytes/s, ascending.
-    mem_bandwidths: Vec<(u32, f64)>,
-    current: FreqSetting,
-}
-
-impl ConservativeGovernor {
-    /// Creates the governor; see [`OndemandGovernor::new`] for the
-    /// bandwidth callback contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mem_target` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(
-        grid: FrequencyGrid,
-        mem_target: f64,
-        mem_bandwidth_of: impl Fn(u32) -> f64,
-    ) -> Self {
-        assert!(mem_target > 0.0 && mem_target <= 1.0, "target in (0, 1]");
-        let mem_bandwidths = grid
-            .mem_freqs()
-            .map(|f| (f.mhz(), mem_bandwidth_of(f.mhz())))
-            .collect();
-        Self {
-            grid,
-            mem_target,
-            mem_bandwidths,
-            current: grid.min_setting(),
-        }
-    }
-
-    /// One grid step from `from` toward `to` in each domain independently.
-    fn step_toward(&self, from: FreqSetting, to: FreqSetting) -> FreqSetting {
-        let cpu_steps: Vec<u32> = self.grid.cpu_freqs().map(|f| f.mhz()).collect();
-        let mem_steps: Vec<u32> = self.grid.mem_freqs().map(|f| f.mhz()).collect();
-        let step = |steps: &[u32], cur: u32, want: u32| -> u32 {
-            let i = steps
-                .iter()
-                .position(|&s| s == cur)
-                .expect("current on grid");
-            match want.cmp(&cur) {
-                std::cmp::Ordering::Greater => steps[(i + 1).min(steps.len() - 1)],
-                std::cmp::Ordering::Less => steps[i.saturating_sub(1)],
-                std::cmp::Ordering::Equal => cur,
-            }
-        };
-        FreqSetting::from_mhz(
-            step(&cpu_steps, from.cpu.mhz(), to.cpu.mhz()),
-            step(&mem_steps, from.mem.mhz(), to.mem.mhz()),
-        )
-    }
-}
-
-impl Governor for ConservativeGovernor {
-    fn name(&self) -> &str {
-        "conservative"
-    }
-
-    fn decide(&mut self, _next_sample: usize, prev: Option<&Observation>) -> Decision {
-        // Same desired operating point as ondemand...
-        let desired_mem = match prev {
-            None => self.grid.max_setting().mem,
-            Some(obs) => {
-                let demand = obs.dram_bandwidth();
-                self.mem_bandwidths
-                    .iter()
-                    .find(|&&(_, bw)| demand <= bw * self.mem_target)
-                    .map(|&(mhz, _)| mcdvfs_types::MemFreq::from_mhz(mhz))
-                    .unwrap_or(self.grid.max_setting().mem)
-            }
-        };
-        let desired = FreqSetting::new(self.grid.max_setting().cpu, desired_mem);
-        // ...approached one step at a time.
-        let next = self.step_toward(self.current, desired);
-        let evaluated = usize::from(next != self.current) * 2;
-        self.current = next;
-        Decision {
-            setting: next,
-            settings_evaluated: evaluated,
-            region_start: evaluated > 0,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdvfs_types::{Joules, Seconds};
-
-    fn obs(bytes: u64, time_ms: f64) -> Observation {
-        Observation {
-            sample: 0,
-            setting: FreqSetting::from_mhz(1000, 800),
-            measurement: SampleMeasurement {
-                time: Seconds::from_millis(time_ms),
-                cpu_energy: Joules::from_millis(5.0),
-                mem_energy: Joules::from_millis(1.0),
-                cpi: 1.0,
-            },
-            dram_bytes: bytes,
-        }
-    }
 
     #[test]
     fn fixed_governor_never_moves() {
@@ -393,103 +164,11 @@ mod tests {
     #[test]
     fn performance_and_powersave_pin_extremes() {
         let grid = FrequencyGrid::coarse();
-        let mut hi = PerformanceGovernor::new(grid);
-        let mut lo = PowersaveGovernor::new(grid);
+        let mut hi = FixedGovernor::performance(grid);
+        let mut lo = FixedGovernor::powersave(grid);
         assert_eq!(hi.decide(0, None).setting, grid.max_setting());
         assert_eq!(lo.decide(0, None).setting, grid.min_setting());
-    }
-
-    #[test]
-    fn ondemand_rails_cpu_to_max() {
-        let grid = FrequencyGrid::coarse();
-        let mut g = OndemandGovernor::new(grid, 0.6, |mhz| f64::from(mhz) * 8e6 * 0.7);
-        let d = g.decide(1, Some(&obs(64 * 20_000, 10.0)));
-        assert_eq!(d.setting.cpu.mhz(), 1000);
-    }
-
-    #[test]
-    fn ondemand_memory_follows_bandwidth_demand() {
-        let grid = FrequencyGrid::coarse();
-        let bw = |mhz: u32| f64::from(mhz) * 8e6 * 0.7; // ~0.7 x DDR x32
-        let mut g = OndemandGovernor::new(grid, 0.6, bw);
-        // Tiny demand -> lowest memory step.
-        let d = g.decide(1, Some(&obs(64 * 100, 10.0)));
-        assert_eq!(d.setting.mem.mhz(), 200);
-        // Huge demand -> highest memory step.
-        let d = g.decide(2, Some(&obs(64 * 3_000_000, 10.0)));
-        assert_eq!(d.setting.mem.mhz(), 800);
-    }
-
-    #[test]
-    fn ondemand_first_decision_is_max() {
-        let grid = FrequencyGrid::coarse();
-        let mut g = OndemandGovernor::new(grid, 0.6, |mhz| f64::from(mhz) * 1e6);
-        assert_eq!(g.decide(0, None).setting, grid.max_setting());
-    }
-
-    #[test]
-    fn ondemand_charges_no_search_when_stable() {
-        let grid = FrequencyGrid::coarse();
-        let mut g = OndemandGovernor::new(grid, 0.6, |mhz| f64::from(mhz) * 8e6 * 0.7);
-        let o = obs(64 * 100, 10.0);
-        let _ = g.decide(1, Some(&o));
-        let d = g.decide(2, Some(&o));
-        assert_eq!(d.settings_evaluated, 0, "unchanged decision is free");
-    }
-
-    #[test]
-    fn conservative_climbs_one_step_at_a_time() {
-        let grid = FrequencyGrid::coarse();
-        let mut g = ConservativeGovernor::new(grid, 0.6, |mhz| f64::from(mhz) * 8e6 * 0.7);
-        // Boots at min; sustained load walks the CPU up one 100 MHz step
-        // per interval.
-        let d0 = g.decide(0, None);
-        assert_eq!(d0.setting.cpu.mhz(), 200);
-        let o = obs(64 * 3_000_000, 10.0);
-        let d1 = g.decide(1, Some(&o));
-        assert_eq!(d1.setting.cpu.mhz(), 300);
-        let mut last = d1;
-        for s in 2..20 {
-            last = g.decide(s, Some(&o));
-        }
-        assert_eq!(last.setting, grid.max_setting(), "converges to the target");
-    }
-
-    #[test]
-    fn conservative_steps_down_when_demand_falls() {
-        let grid = FrequencyGrid::coarse();
-        let mut g = ConservativeGovernor::new(grid, 0.6, |mhz| f64::from(mhz) * 8e6 * 0.7);
-        let heavy = obs(64 * 3_000_000, 10.0);
-        for s in 0..20 {
-            g.decide(s, Some(&heavy));
-        }
-        let light = obs(64 * 100, 10.0);
-        let d = g.decide(20, Some(&light));
-        assert_eq!(d.setting.mem.mhz(), 700, "one step down from 800");
-    }
-
-    #[test]
-    fn conservative_settles_without_charge() {
-        let grid = FrequencyGrid::coarse();
-        let mut g = ConservativeGovernor::new(grid, 0.6, |mhz| f64::from(mhz) * 8e6 * 0.7);
-        let o = obs(64 * 3_000_000, 10.0);
-        for s in 0..30 {
-            g.decide(s, Some(&o));
-        }
-        let settled = g.decide(30, Some(&o));
-        assert_eq!(settled.settings_evaluated, 0, "no change, no charge");
-        assert_eq!(g.name(), "conservative");
-    }
-
-    #[test]
-    fn observation_bandwidth() {
-        let o = obs(64_000_000, 10.0);
-        assert!((o.dram_bandwidth() - 6.4e9).abs() < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "target")]
-    fn invalid_mem_target_panics() {
-        let _ = OndemandGovernor::new(FrequencyGrid::coarse(), 0.0, |_| 1.0);
+        assert_eq!(hi.name(), "performance");
+        assert_eq!(lo.name(), "powersave");
     }
 }

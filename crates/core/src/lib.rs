@@ -19,8 +19,9 @@
 //!   and **tuning overhead** accounting (500 µs / 30 µJ per 70-setting
 //!   search, Section VI-C) ([`transitions`], [`TuningCostModel`]);
 //! * **governors** — the paper's oracle tuner, a cluster/stable-region
-//!   tuner, Linux-style baselines, a CoScale-style greedy searcher, and a
-//!   runtime predictive tuner ([`governor`]);
+//!   tuner, a CoScale-style greedy searcher, and fixed-setting pins
+//!   (`userspace`, `performance`, `powersave`) ([`governor`]); online
+//!   runtime policies live in `mcdvfs-policy`;
 //! * an end-to-end **governed runner** that charges search and hardware
 //!   transition overheads and verifies budget compliance ([`GovernedRun`]);
 //!   runs can stream a typed event ledger

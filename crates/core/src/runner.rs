@@ -341,7 +341,6 @@ impl GovernedRun {
                 sample: s,
                 setting: decision.setting,
                 measurement: m,
-                dram_bytes: trace.get(s).expect("index in range").dram_bytes(),
             });
         }
 
@@ -429,9 +428,7 @@ impl RunAccounting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::{
-        FixedGovernor, OracleClusterGovernor, OracleOptimalGovernor, PerformanceGovernor,
-    };
+    use crate::governor::{FixedGovernor, OracleClusterGovernor, OracleOptimalGovernor};
     use crate::inefficiency::InefficiencyBudget;
     use mcdvfs_sim::System;
     use mcdvfs_types::FrequencyGrid;
@@ -548,7 +545,7 @@ mod tests {
     #[test]
     fn performance_governor_never_transitions_after_boot() {
         let (data, trace) = setup(Benchmark::Bzip2, 8);
-        let mut g = PerformanceGovernor::new(data.grid());
+        let mut g = FixedGovernor::performance(data.grid());
         let report = GovernedRun::with_paper_overheads().execute(&data, &trace, &mut g);
         assert_eq!(report.transitions, 0, "boot setting is already max");
         assert_eq!(report.transition_energy, Joules::ZERO);
@@ -607,10 +604,10 @@ mod tests {
         // Performance pins both domains at max: energy-oblivious, so a
         // tight alert budget must trip.
         let plain = {
-            let mut g = PerformanceGovernor::new(data.grid());
+            let mut g = FixedGovernor::performance(data.grid());
             GovernedRun::without_overheads().execute(&data, &trace, &mut g)
         };
-        let mut g = PerformanceGovernor::new(data.grid());
+        let mut g = FixedGovernor::performance(data.grid());
         let mut ledger = RunLedger::unbounded();
         let alerting = GovernedRun::without_overheads()
             .with_budget_alert(1.01)
@@ -654,7 +651,7 @@ mod tests {
     fn mismatched_trace_panics() {
         let (data, _) = setup(Benchmark::Gobmk, 10);
         let other = Benchmark::Gobmk.trace().window(0, 5);
-        let mut g = PerformanceGovernor::new(data.grid());
+        let mut g = FixedGovernor::performance(data.grid());
         let _ = GovernedRun::without_overheads().execute(&data, &other, &mut g);
     }
 }

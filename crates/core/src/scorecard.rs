@@ -141,7 +141,7 @@ impl PolicyScorecard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::{OracleOptimalGovernor, PerformanceGovernor};
+    use crate::governor::{FixedGovernor, OracleOptimalGovernor};
     use crate::inefficiency::InefficiencyBudget;
     use mcdvfs_sim::System;
     use mcdvfs_types::FrequencyGrid;
@@ -190,13 +190,13 @@ mod tests {
     fn impossible_deadlines_are_all_missed() {
         let (data, trace) = setup();
         let runner = GovernedRun::without_overheads();
-        let reference = runner.execute(&data, &trace, &mut PerformanceGovernor::new(data.grid()));
+        let reference = runner.execute(&data, &trace, &mut FixedGovernor::performance(data.grid()));
         let deadlines = vec![Seconds::new(0.0); trace.len()];
         let sc = PolicyScorecard::score(
             &runner,
             &data,
             &trace,
-            &mut PerformanceGovernor::new(data.grid()),
+            &mut FixedGovernor::performance(data.grid()),
             &deadlines,
             "unit-test",
             &reference,
@@ -209,12 +209,12 @@ mod tests {
     fn misaligned_deadlines_panic() {
         let (data, trace) = setup();
         let runner = GovernedRun::without_overheads();
-        let reference = runner.execute(&data, &trace, &mut PerformanceGovernor::new(data.grid()));
+        let reference = runner.execute(&data, &trace, &mut FixedGovernor::performance(data.grid()));
         let _ = PolicyScorecard::score(
             &runner,
             &data,
             &trace,
-            &mut PerformanceGovernor::new(data.grid()),
+            &mut FixedGovernor::performance(data.grid()),
             &[Seconds::new(1.0)],
             "unit-test",
             &reference,

@@ -52,7 +52,7 @@ pub enum Stage {
     Accepted,
     /// The length-prefixed frame was complete in the read buffer.
     FrameComplete,
-    /// The payload parsed into a typed [`Request`]-equivalent.
+    /// The payload parsed into a typed request (serve's `Request`).
     Decoded,
     /// The job entered a shard's bounded queue.
     Enqueued,

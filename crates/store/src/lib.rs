@@ -5,7 +5,7 @@
 //! cold start. This crate turns the characterization measurement arena into
 //! a bake-once / ship-many artifact:
 //!
-//! * [`Snapshot`] + the binary format in [`format`] — a versioned,
+//! * [`Snapshot`] + the binary format in [`format`](mod@format) — a versioned,
 //!   checksummed, bit-exact encoding of one `CharacterizationGrid`'s arena
 //!   (see the layout diagram on the module).
 //! * [`SnapshotStore`] — a content-addressed directory of snapshots keyed by

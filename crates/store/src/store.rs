@@ -124,13 +124,7 @@ impl SnapshotStore {
     /// Returns [`SnapshotError::Io`] if the write or rename fails.
     pub fn persist(&self, snapshot: &Snapshot) -> Result<u64, SnapshotError> {
         let bytes = snapshot.encode();
-        let finalp = self.path_for(snapshot.fingerprint);
-        let tmp = self.temp_path(&format!("{:016x}.{SNAP_EXT}", snapshot.fingerprint));
-        fs::write(&tmp, &bytes)?;
-        if let Err(e) = fs::rename(&tmp, &finalp) {
-            let _ = fs::remove_file(&tmp);
-            return Err(e.into());
-        }
+        self.write_atomic(&format!("{:016x}.{SNAP_EXT}", snapshot.fingerprint), &bytes)?;
         Ok(bytes.len() as u64)
     }
 
@@ -241,10 +235,20 @@ impl SnapshotStore {
             .map(|(k, v)| (k, Json::Str(format!("{v:016x}"))))
             .collect();
         let text = Json::Obj(members).render();
-        let path = self.dir.join(INDEX_NAME);
-        let tmp = self.temp_path(INDEX_NAME);
-        fs::write(&tmp, text.as_bytes())?;
-        fs::rename(&tmp, &path)
+        self.write_atomic(INDEX_NAME, text.as_bytes())
+    }
+
+    /// Writes `bytes` to the file `name` in the store directory: into a
+    /// fresh temp sibling first, then `rename`d into place, so readers only
+    /// ever observe complete files. On either error the temp file is
+    /// removed, so a failed write (e.g. a full disk) leaves nothing behind.
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        let tmp = self.temp_path(name);
+        let written = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, self.dir.join(name)));
+        if written.is_err() {
+            let _ = fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// A fresh temp sibling for `name`: `<name>.tmp.<pid>.<n>`, where `n`
@@ -392,6 +396,40 @@ mod tests {
             }
         });
         assert_eq!(store.fingerprints().unwrap(), vec![snap.fingerprint]);
+        fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    /// Entries of the store directory that are leftover temp files.
+    fn temp_files(store: &SnapshotStore) -> Vec<String> {
+        fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp."))
+            .collect()
+    }
+
+    /// Turns the file at `path` into a non-empty directory, so renaming a
+    /// file onto it fails.
+    fn block_with_directory(path: &Path) {
+        fs::create_dir_all(path.join("occupied")).unwrap();
+    }
+
+    #[test]
+    fn failed_index_write_leaves_no_temp_file() {
+        let store = temp_store("index-blocked");
+        block_with_directory(&store.dir().join(INDEX_NAME));
+        assert!(store.record_spec(1, 2).is_err());
+        assert_eq!(temp_files(&store), Vec::<String>::new());
+        fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn failed_persist_leaves_no_temp_file() {
+        let store = temp_store("persist-blocked");
+        let snap = snapshot_named("gobmk", 1.0);
+        block_with_directory(&store.path_for(snap.fingerprint));
+        assert!(store.persist(&snap).is_err());
+        assert_eq!(temp_files(&store), Vec::<String>::new());
         fs::remove_dir_all(store.dir()).unwrap();
     }
 

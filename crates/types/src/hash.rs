@@ -80,7 +80,8 @@ impl Fnv1a64 {
     }
 }
 
-/// Content hash of a run of [`SampleMeasurement`]s: every field's exact
+/// Content hash of a run of
+/// [`SampleMeasurement`](crate::SampleMeasurement)s: every field's exact
 /// IEEE-754 bits, in storage order.
 ///
 /// This is the per-row unit of the characterization fingerprint. Hashing

@@ -1,18 +1,16 @@
 //! Scenario: comparing frequency governors on one workload.
 //!
-//! Runs every governor the crate ships — Linux-style baselines, the
-//! paper's oracle tuners, a CoScale-style greedy searcher (cold and warm
-//! start), and the runtime predictive tuner — over milc with
-//! paper-calibrated overheads, and prints the end-to-end scoreboard.
+//! Runs every governor the crate ships — the `performance`/`powersave`
+//! pins, the paper's oracle tuners, and a CoScale-style greedy searcher
+//! (cold and warm start) — over milc with paper-calibrated overheads, and
+//! prints the end-to-end scoreboard.
 //!
 //! ```text
 //! cargo run --example governor_comparison
 //! ```
 
 use mcdvfs_core::governor::{
-    CoScaleGovernor, ConservativeGovernor, Governor, OndemandGovernor, OracleClusterGovernor,
-    OracleOptimalGovernor, PerformanceGovernor, PowersaveGovernor, PredictiveGovernor,
-    ProfileGovernor, WorkloadProfile,
+    CoScaleGovernor, FixedGovernor, Governor, OracleClusterGovernor, OracleOptimalGovernor,
 };
 use mcdvfs_core::report::{fmt, Table};
 use mcdvfs_core::{GovernedRun, InefficiencyBudget};
@@ -29,27 +27,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget = InefficiencyBudget::bounded(1.3)?;
     let runner = GovernedRun::with_paper_overheads();
 
-    let latency = system.latency_model().clone();
-    let bandwidth_of =
-        move |mhz: u32| latency.effective_bandwidth(mcdvfs_types::MemFreq::from_mhz(mhz));
-
-    // An offline profile from a previous execution of the same app
-    // (different input jitter), deployed without any runtime search.
-    let training_trace = Benchmark::Milc.trace_with(99, 0.015);
-    let training_data = CharacterizationGrid::characterize(&system, &training_trace, grid);
-    let profile = WorkloadProfile::from_characterization(&training_data, budget, 0.05)?;
-
     let mut governors: Vec<Box<dyn Governor>> = vec![
-        Box::new(PerformanceGovernor::new(grid)),
-        Box::new(PowersaveGovernor::new(grid)),
-        Box::new(OndemandGovernor::new(grid, 0.6, bandwidth_of.clone())),
-        Box::new(ConservativeGovernor::new(grid, 0.6, bandwidth_of)),
+        Box::new(FixedGovernor::performance(grid)),
+        Box::new(FixedGovernor::powersave(grid)),
         Box::new(CoScaleGovernor::new(Arc::clone(&data), budget)),
         Box::new(CoScaleGovernor::new(Arc::clone(&data), budget).starting_from_previous()),
         Box::new(OracleOptimalGovernor::new(Arc::clone(&data), budget)),
         Box::new(OracleClusterGovernor::new(Arc::clone(&data), budget, 0.05)?),
-        Box::new(PredictiveGovernor::new(Arc::clone(&data), budget)),
-        Box::new(ProfileGovernor::new(profile)),
     ];
 
     let mut table = Table::new(vec![
@@ -77,11 +61,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", table.to_text());
     println!(
-        "notes: `performance`/`ondemand` burn far past the budget; `powersave` is\n\
-         slow AND inefficient (the paper's \"running slower isn't running\n\
+        "notes: `performance` burns far past the budget; `powersave` is slow\n\
+         AND inefficient (the paper's \"running slower isn't running\n\
          efficiently\"); the warm-start CoScale variant matches the cold one with\n\
-         fewer evaluated settings; the predictive tuner approaches the oracle\n\
-         while searching only on phase changes."
+         fewer evaluated settings; the cluster tuner meets the budget like the\n\
+         oracle while searching only at stable-region boundaries."
     );
     Ok(())
 }

@@ -1,13 +1,12 @@
 //! End-to-end governor behaviour across the full pipeline.
 
 use mcdvfs_core::governor::{
-    CoScaleGovernor, ConservativeGovernor, FixedGovernor, Governor, OndemandGovernor,
-    OracleClusterGovernor, OracleOptimalGovernor, PerformanceGovernor, PowersaveGovernor,
-    PredictiveGovernor, ProfileGovernor, RegionChoice, WorkloadProfile,
+    CoScaleGovernor, FixedGovernor, Governor, OracleClusterGovernor, OracleOptimalGovernor,
+    RegionChoice,
 };
 use mcdvfs_core::{GovernedRun, InefficiencyBudget};
 use mcdvfs_sim::{CharacterizationGrid, System};
-use mcdvfs_types::{FreqSetting, FrequencyGrid, MemFreq};
+use mcdvfs_types::{FreqSetting, FrequencyGrid, Seconds};
 use mcdvfs_workloads::{Benchmark, SampleTrace};
 use std::sync::Arc;
 
@@ -29,23 +28,12 @@ fn budget(v: f64) -> InefficiencyBudget {
 fn every_governor_produces_a_consistent_report() {
     let (data, trace) = setup(Benchmark::Gobmk);
     let grid = data.grid();
-    let system = System::galaxy_nexus_class();
-    let latency = system.latency_model().clone();
     let b = budget(1.3);
 
-    let latency2 = latency.clone();
-    let profile = WorkloadProfile::from_characterization(&data, b, 0.05).unwrap();
     let mut governors: Vec<Box<dyn Governor>> = vec![
         Box::new(FixedGovernor::new(FreqSetting::from_mhz(500, 400))),
-        Box::new(PerformanceGovernor::new(grid)),
-        Box::new(PowersaveGovernor::new(grid)),
-        Box::new(OndemandGovernor::new(grid, 0.6, move |mhz| {
-            latency.effective_bandwidth(MemFreq::from_mhz(mhz))
-        })),
-        Box::new(ConservativeGovernor::new(grid, 0.6, move |mhz| {
-            latency2.effective_bandwidth(MemFreq::from_mhz(mhz))
-        })),
-        Box::new(ProfileGovernor::new(profile)),
+        Box::new(FixedGovernor::performance(grid)),
+        Box::new(FixedGovernor::powersave(grid)),
         Box::new(CoScaleGovernor::new(Arc::clone(&data), b)),
         Box::new(CoScaleGovernor::new(Arc::clone(&data), b).starting_from_previous()),
         Box::new(OracleOptimalGovernor::new(Arc::clone(&data), b)),
@@ -59,7 +47,6 @@ fn every_governor_produces_a_consistent_report() {
             )
             .unwrap(),
         ),
-        Box::new(PredictiveGovernor::new(Arc::clone(&data), b)),
     ];
 
     let runner = GovernedRun::with_paper_overheads();
@@ -97,7 +84,7 @@ fn oracle_governors_meet_their_budget_while_baselines_blow_it() {
     let cluster_report = runner.execute(&data, &trace, &mut cluster);
     assert!(cluster_report.work_inefficiency() <= bound);
 
-    let mut performance = PerformanceGovernor::new(data.grid());
+    let mut performance = FixedGovernor::performance(data.grid());
     let perf_report = runner.execute(&data, &trace, &mut performance);
     assert!(
         perf_report.work_inefficiency() > bound,
@@ -110,7 +97,7 @@ fn oracle_governors_meet_their_budget_while_baselines_blow_it() {
 fn powersave_demonstrates_slow_is_not_efficient() {
     let (data, trace) = setup(Benchmark::Gobmk);
     let runner = GovernedRun::without_overheads();
-    let mut powersave = PowersaveGovernor::new(data.grid());
+    let mut powersave = FixedGovernor::powersave(data.grid());
     let report = runner.execute(&data, &trace, &mut powersave);
     assert!(
         report.work_inefficiency() > 1.25,
@@ -136,18 +123,51 @@ fn warm_coscale_charges_less_tuning_than_cold() {
     );
 }
 
+/// The paper's case against CoScale: restarting the greedy search from the
+/// maximum setting every interval charges more tuning time than searching
+/// once per stable region. Single benchmarks can go the other way when
+/// their stable regions are short (gobmk at 1.2/1.3, soplex at 1.2), so
+/// that claim is pinned on the suite total. The warm-start variant beats
+/// the restart on every benchmark whose maximum setting is over budget,
+/// and ties it once the maximum fits (1.6).
 #[test]
-fn predictive_governor_searches_far_less_than_the_oracle_tracker() {
-    let (data, trace) = setup(Benchmark::Lbm);
-    let b = budget(1.3);
+fn coscale_restart_search_costs_more_than_cluster_tuning() {
+    const BUDGETS: [f64; 4] = [1.0, 1.2, 1.3, 1.6];
     let runner = GovernedRun::with_paper_overheads();
-    let mut oracle = OracleOptimalGovernor::new(Arc::clone(&data), b);
-    let tracked = runner.execute(&data, &trace, &mut oracle);
-    let mut predictive = PredictiveGovernor::new(Arc::clone(&data), b);
-    let predicted = runner.execute(&data, &trace, &mut predictive);
-    assert!(predicted.searches * 2 < tracked.searches);
-    // And its quality stays close: within 5% of the oracle's time.
-    assert!(predicted.total_time().value() < tracked.total_time().value() * 1.05);
+    let mut cold_total = [Seconds::ZERO; BUDGETS.len()];
+    let mut cluster_total = [Seconds::ZERO; BUDGETS.len()];
+    for benchmark in Benchmark::all() {
+        let (data, trace) = setup(benchmark);
+        for (i, &v) in BUDGETS.iter().enumerate() {
+            let b = budget(v);
+            let mut cold = CoScaleGovernor::new(Arc::clone(&data), b);
+            let mut warm = CoScaleGovernor::new(Arc::clone(&data), b).starting_from_previous();
+            let mut cluster = OracleClusterGovernor::new(Arc::clone(&data), b, 0.05).unwrap();
+            let cold = runner.execute(&data, &trace, &mut cold).tuning_time;
+            let warm = runner.execute(&data, &trace, &mut warm).tuning_time;
+            let cluster = runner.execute(&data, &trace, &mut cluster).tuning_time;
+            if v < 1.6 {
+                assert!(
+                    warm < cold,
+                    "{benchmark:?} at {v}: warm {} s vs cold {} s of tuning",
+                    warm.value(),
+                    cold.value()
+                );
+            } else {
+                assert_eq!(warm, cold, "{benchmark:?} at {v}: maximum in budget");
+            }
+            cold_total[i] += cold;
+            cluster_total[i] += cluster;
+        }
+    }
+    for (i, &v) in BUDGETS.iter().enumerate() {
+        assert!(
+            cold_total[i] > cluster_total[i],
+            "budget {v}: CoScale {} s vs cluster {} s of tuning over the suite",
+            cold_total[i].value(),
+            cluster_total[i].value()
+        );
+    }
 }
 
 #[test]

@@ -1,18 +1,18 @@
 //! Run-ledger observability across the full pipeline: for every governor
-//! the crate ships, a recorded run must (a) leave the run report
-//! bit-identical to an unrecorded run, and (b) produce a ledger that
-//! replays into the report's totals exactly.
+//! the core crate ships and every shipped online policy, a recorded run
+//! must (a) leave the run report bit-identical to an unrecorded run, and
+//! (b) produce a ledger that replays into the report's totals exactly.
 
 use mcdvfs_core::governor::{
-    CoScaleGovernor, ConservativeGovernor, FixedGovernor, Governor, OndemandGovernor,
-    OracleClusterGovernor, OracleOptimalGovernor, PerformanceGovernor, PowersaveGovernor,
-    PredictiveGovernor, ProfileGovernor, RegionChoice, WorkloadProfile,
+    CoScaleGovernor, FixedGovernor, Governor, OracleClusterGovernor, OracleOptimalGovernor,
+    RegionChoice,
 };
 use mcdvfs_core::{GovernedRun, InefficiencyBudget};
 use mcdvfs_obs::{Event, NullRecorder, Recorder, RunLedger};
+use mcdvfs_policy::{build_policy, PolicyGovernor, SHIPPED_POLICIES};
 use mcdvfs_sim::{CharacterizationGrid, System};
-use mcdvfs_types::{FreqSetting, FrequencyGrid, MemFreq};
-use mcdvfs_workloads::{Benchmark, SampleTrace};
+use mcdvfs_types::{FreqSetting, FrequencyGrid};
+use mcdvfs_workloads::{Benchmark, SampleTrace, Scenario};
 use std::sync::Arc;
 
 fn setup(b: Benchmark) -> (Arc<CharacterizationGrid>, SampleTrace) {
@@ -26,33 +26,16 @@ fn setup(b: Benchmark) -> (Arc<CharacterizationGrid>, SampleTrace) {
 }
 
 /// Two fresh instances of every governor (recorded and unrecorded runs
-/// need independent, identically-configured governors).
+/// need independent, identically-configured governors): the core crate's
+/// governors plus every shipped online policy under one shipped scenario.
 fn governor_fleet(data: &Arc<CharacterizationGrid>) -> Vec<(Box<dyn Governor>, Box<dyn Governor>)> {
     let grid = data.grid();
-    let system = System::galaxy_nexus_class();
     let b = InefficiencyBudget::bounded(1.3).unwrap();
-    let profile = WorkloadProfile::from_characterization(data, b, 0.05).unwrap();
-    let bandwidth = move || {
-        let latency = system.latency_model().clone();
-        move |mhz: u32| latency.effective_bandwidth(MemFreq::from_mhz(mhz))
-    };
 
-    let make: Vec<Box<dyn Fn() -> Box<dyn Governor>>> = vec![
+    let mut make: Vec<Box<dyn Fn() -> Box<dyn Governor>>> = vec![
         Box::new(|| Box::new(FixedGovernor::new(FreqSetting::from_mhz(500, 400)))),
-        Box::new(move || Box::new(PerformanceGovernor::new(grid))),
-        Box::new(move || Box::new(PowersaveGovernor::new(grid))),
-        {
-            let bw = bandwidth();
-            Box::new(move || Box::new(OndemandGovernor::new(grid, 0.6, bw.clone())))
-        },
-        {
-            let bw = bandwidth();
-            Box::new(move || Box::new(ConservativeGovernor::new(grid, 0.6, bw.clone())))
-        },
-        {
-            let p = profile;
-            Box::new(move || Box::new(ProfileGovernor::new(p.clone())))
-        },
+        Box::new(move || Box::new(FixedGovernor::performance(grid))),
+        Box::new(move || Box::new(FixedGovernor::powersave(grid))),
         {
             let d = Arc::clone(data);
             Box::new(move || Box::new(CoScaleGovernor::new(Arc::clone(&d), b)))
@@ -85,11 +68,16 @@ fn governor_fleet(data: &Arc<CharacterizationGrid>) -> Vec<(Box<dyn Governor>, B
                 )
             })
         },
-        {
-            let d = Arc::clone(data);
-            Box::new(move || Box::new(PredictiveGovernor::new(Arc::clone(&d), b)))
-        },
     ];
+    let scenario = Scenario::load_burst();
+    for name in SHIPPED_POLICIES {
+        let d = Arc::clone(data);
+        let scenario = scenario.clone();
+        make.push(Box::new(move || {
+            let policy = build_policy(name).expect("shipped policy");
+            Box::new(PolicyGovernor::new(policy, &scenario, &d, b))
+        }));
+    }
     make.iter().map(|f| (f(), f())).collect()
 }
 
@@ -181,8 +169,8 @@ fn null_recorder_reports_disabled_and_swallows_events() {
     // so disabled recording costs one branch and allocates nothing.
     let (data, trace) = setup(Benchmark::Gobmk);
     let b = InefficiencyBudget::bounded(1.3).unwrap();
-    let mut gov_a = PredictiveGovernor::new(Arc::clone(&data), b);
-    let mut gov_b = PredictiveGovernor::new(Arc::clone(&data), b);
+    let mut gov_a = OracleClusterGovernor::new(Arc::clone(&data), b, 0.05).unwrap();
+    let mut gov_b = OracleClusterGovernor::new(Arc::clone(&data), b, 0.05).unwrap();
     let runner = GovernedRun::with_paper_overheads();
     let plain = runner.execute(&data, &trace, &mut gov_a);
     let nulled = runner.execute_recorded(&data, &trace, &mut gov_b, &mut NullRecorder);
@@ -192,8 +180,8 @@ fn null_recorder_reports_disabled_and_swallows_events() {
 #[test]
 fn budget_alerts_observe_without_perturbing() {
     let (data, trace) = setup(Benchmark::Gobmk);
-    let mut gov_a = PerformanceGovernor::new(data.grid());
-    let mut gov_b = PerformanceGovernor::new(data.grid());
+    let mut gov_a = FixedGovernor::performance(data.grid());
+    let mut gov_b = FixedGovernor::performance(data.grid());
     let runner = GovernedRun::with_paper_overheads();
     let alerting = runner.clone().with_budget_alert(1.05);
 
