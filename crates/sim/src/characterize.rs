@@ -81,13 +81,7 @@ impl CharacterizationGrid {
     /// Panics if the trace is empty.
     #[must_use]
     pub fn characterize(system: &System, trace: &SampleTrace, grid: FrequencyGrid) -> Self {
-        assert!(!trace.is_empty(), "cannot characterize an empty trace");
-        let plan = EvalPlan::compile(system, grid);
-        let mut arena = Vec::with_capacity(trace.len() * plan.n_settings());
-        for chars in trace.iter() {
-            plan.eval_row_into(chars, &mut arena);
-        }
-        Self::from_arena(trace.name(), grid, plan.n_settings(), arena)
+        Self::characterize_parallel(system, trace, grid, 1)
     }
 
     /// As [`Self::characterize`], fanned out over `threads` OS threads
@@ -109,6 +103,10 @@ impl CharacterizationGrid {
 
     /// As [`Self::characterize_parallel`], with phase spans and per-worker
     /// metrics flowing into `profiler`.
+    ///
+    /// Workers evaluate disjoint row ranges of one preallocated arena in
+    /// place and return each row's `Emin` and content hash; the joining
+    /// thread only folds the column totals.
     ///
     /// The instrumentation is purely observational: each worker opens one
     /// `characterize/worker` span and builds a private [`MetricSet`]
@@ -136,18 +134,21 @@ impl CharacterizationGrid {
         let samples = trace.samples();
         let chunk = samples.len().div_ceil(threads);
         let width = plan.n_settings();
-        let mut arena: Vec<SampleMeasurement> = Vec::with_capacity(samples.len() * width);
+        let mut arena = vec![SampleMeasurement::ZERO; samples.len() * width];
+        let mut summaries = Vec::with_capacity(samples.len());
         std::thread::scope(|scope| {
             let handles: Vec<_> = samples
                 .chunks(chunk)
-                .map(|part| {
+                .zip(arena.chunks_mut(chunk * width))
+                .map(|(part, cells)| {
                     let plan = &plan;
                     scope.spawn(move || {
                         let _worker = profiler.span_under(phase_id, "worker");
                         let started = profiler.is_enabled().then(Instant::now);
-                        let mut rows = Vec::with_capacity(part.len() * width);
-                        for chars in part {
-                            plan.eval_row_into(chars, &mut rows);
+                        let mut rows = Vec::with_capacity(part.len());
+                        for (chars, row) in part.iter().zip(cells.chunks_exact_mut(width)) {
+                            plan.eval_row_slice(chars, row);
+                            rows.push(row_summary(row));
                         }
                         let mut metrics = MetricSet::new();
                         if let Some(t0) = started {
@@ -168,12 +169,12 @@ impl CharacterizationGrid {
                 .collect();
             for handle in handles {
                 let (rows, metrics) = handle.join().expect("worker thread panicked");
-                arena.extend(rows);
+                summaries.extend(rows);
                 profiler.absorb(metrics);
             }
         });
         drop(phase);
-        Self::from_arena(trace.name(), grid, width, arena)
+        Self::from_arena(trace.name(), grid, width, arena, summaries)
     }
 
     /// As [`Self::characterize_parallel`] with the thread count defaulted
@@ -218,35 +219,22 @@ impl CharacterizationGrid {
             !arena.is_empty() && arena.len().is_multiple_of(n_settings),
             "arena must hold whole rows"
         );
-        Self::from_arena(name, grid, n_settings, arena)
+        let summaries = arena.chunks_exact(n_settings).map(row_summary).collect();
+        Self::from_arena(name, grid, n_settings, arena, summaries)
     }
 
+    /// Assembles a grid from its arena and each row's [`row_summary`],
+    /// folding the column totals in sample order.
     fn from_arena(
         name: &str,
         grid: FrequencyGrid,
         n_settings: usize,
         arena: Vec<SampleMeasurement>,
+        summaries: Vec<(Joules, u64)>,
     ) -> Self {
-        debug_assert!(n_settings > 0 && arena.len().is_multiple_of(n_settings));
-        // One linear pass fills every cache: row minima (Emin), column
-        // totals accumulated in sample order (so the cached sums are
-        // bit-identical to summing rows on demand), and per-row content
-        // hashes for the incremental fingerprint.
-        let n_samples = arena.len() / n_settings;
-        let mut emin = Vec::with_capacity(n_samples);
-        let mut row_hashes = Vec::with_capacity(n_samples);
-        let mut col_time = vec![Seconds::ZERO; n_settings];
-        let mut col_energy = vec![Joules::ZERO; n_settings];
-        for row in arena.chunks_exact(n_settings) {
-            let mut row_min = Joules::new(f64::INFINITY);
-            for (idx, m) in row.iter().enumerate() {
-                row_min = row_min.min(m.energy());
-                col_time[idx] += m.time;
-                col_energy[idx] += m.energy();
-            }
-            emin.push(row_min);
-            row_hashes.push(hash_measurements(row));
-        }
+        debug_assert!(n_settings > 0 && arena.len() == summaries.len() * n_settings);
+        let (emin, row_hashes) = summaries.into_iter().unzip();
+        let (col_time, col_energy) = column_totals(&arena, n_settings);
         Self {
             name: name.to_string(),
             grid,
@@ -300,25 +288,9 @@ impl CharacterizationGrid {
             }
             let row = &mut self.arena[s * self.n_settings..(s + 1) * self.n_settings];
             plan.eval_row_slice(&trace.samples()[s], row);
-            let mut row_min = Joules::new(f64::INFINITY);
-            for m in row.iter() {
-                row_min = row_min.min(m.energy());
-            }
-            self.emin[s] = row_min;
-            self.row_hashes[s] = hash_measurements(row);
+            (self.emin[s], self.row_hashes[s]) = row_summary(row);
         }
-        for t in &mut self.col_time {
-            *t = Seconds::ZERO;
-        }
-        for e in &mut self.col_energy {
-            *e = Joules::ZERO;
-        }
-        for row in self.arena.chunks_exact(self.n_settings) {
-            for (idx, m) in row.iter().enumerate() {
-                self.col_time[idx] += m.time;
-                self.col_energy[idx] += m.energy();
-            }
-        }
+        (self.col_time, self.col_energy) = column_totals(&self.arena, self.n_settings);
     }
 
     /// The workload's name.
@@ -475,13 +447,13 @@ impl CharacterizationGrid {
 
     /// Reconstructs a characterization from a decoded snapshot.
     ///
-    /// The arena is rehydrated through the same single-pass cache builder
-    /// fresh characterization uses, so the result is `==` to the grid that
-    /// produced the snapshot — every derived answer (optimal settings,
-    /// clusters, governed schedules) is bit-identical. The rebuilt grid's
-    /// fingerprint is re-derived and checked against the snapshot header, so
-    /// a snapshot whose contents drifted from its key is rejected rather
-    /// than silently served.
+    /// The arena is rehydrated through [`Self::from_measurements`], which
+    /// derives the same caches fresh characterization does, so the result
+    /// is `==` to the grid that produced the snapshot — every derived
+    /// answer (optimal settings, clusters, governed schedules) is
+    /// bit-identical. The rebuilt grid's fingerprint is re-derived and
+    /// checked against the snapshot header, so a snapshot whose contents
+    /// drifted from its key is rejected rather than silently served.
     ///
     /// # Errors
     ///
@@ -501,7 +473,8 @@ impl CharacterizationGrid {
             return Err(malformed("snapshot arena does not hold whole rows"));
         }
         let fingerprint = snapshot.fingerprint;
-        let grid = Self::from_arena(
+        // The checks above are exactly `from_measurements`' preconditions.
+        let grid = Self::from_measurements(
             &snapshot.name,
             snapshot.grid,
             snapshot.n_settings,
@@ -516,6 +489,30 @@ impl CharacterizationGrid {
         }
         Ok(grid)
     }
+}
+
+/// One row's cached summary: its minimum energy (the sample's `Emin`)
+/// and its [`hash_measurements`] content hash.
+fn row_summary(row: &[SampleMeasurement]) -> (Joules, u64) {
+    let emin = row
+        .iter()
+        .map(SampleMeasurement::energy)
+        .fold(Joules::new(f64::INFINITY), Joules::min);
+    (emin, hash_measurements(row))
+}
+
+/// Per-setting time and energy totals, accumulated in sample order (so the
+/// cached sums are bit-identical to summing rows on demand).
+fn column_totals(arena: &[SampleMeasurement], n_settings: usize) -> (Vec<Seconds>, Vec<Joules>) {
+    let mut col_time = vec![Seconds::ZERO; n_settings];
+    let mut col_energy = vec![Joules::ZERO; n_settings];
+    for row in arena.chunks_exact(n_settings) {
+        for (idx, m) in row.iter().enumerate() {
+            col_time[idx] += m.time;
+            col_energy[idx] += m.energy();
+        }
+    }
+    (col_time, col_energy)
 }
 
 #[cfg(test)]
@@ -674,6 +671,43 @@ mod tests {
         }
         let auto = CharacterizationGrid::characterize_auto(&system, &trace, grid);
         assert_eq!(auto, sequential, "auto thread count");
+    }
+
+    #[test]
+    fn worker_summaries_match_the_legacy_loop() {
+        // Row minima and hashes computed in the workers, and column totals
+        // folded on the joining thread, must equal the caches a grid built
+        // from the per-cell reference loop derives itself.
+        let system = System::galaxy_nexus_class();
+        let trace = Benchmark::Milc.trace().window(0, 13);
+        let grid = small_grid();
+        let arena = trace
+            .iter()
+            .flat_map(|chars| grid.settings().map(|s| system.simulate_sample(chars, s)))
+            .collect();
+        let legacy = CharacterizationGrid::from_measurements(trace.name(), grid, grid.len(), arena);
+        for threads in [1, 2, 3, 8] {
+            let d = CharacterizationGrid::characterize_parallel(&system, &trace, grid, threads);
+            for s in 0..d.n_samples() {
+                assert_eq!(
+                    d.sample_emin(s).value().to_bits(),
+                    legacy.sample_emin(s).value().to_bits(),
+                    "Emin of sample {s} at {threads} threads"
+                );
+            }
+            assert_eq!(d.fingerprint(), legacy.fingerprint(), "{threads} threads");
+            for idx in 0..d.n_settings() {
+                assert_eq!(
+                    d.total_time_at(idx).value().to_bits(),
+                    legacy.total_time_at(idx).value().to_bits()
+                );
+                assert_eq!(
+                    d.total_energy_at(idx).value().to_bits(),
+                    legacy.total_energy_at(idx).value().to_bits()
+                );
+            }
+            assert_eq!(d, legacy, "{threads} threads");
+        }
     }
 
     #[test]

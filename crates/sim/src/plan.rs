@@ -14,9 +14,11 @@
 //! power coefficients, scaled standby currents, burst/refresh energies) is
 //! hoisted into setting-major flat arrays, and every quantity that depends
 //! only on the *sample* is hoisted per row. What remains in the bisection
-//! inner loop is a handful of multiplies and two divides over values
-//! already in cache — branch-free and contiguous, so rows evaluate as
-//! tight passes over the arrays.
+//! inner loop is a handful of multiplies and divides over values already
+//! in cache, contiguous and without a data-dependent branch (the bracket
+//! update is a compare-and-blend, see `step`), so rows evaluate as tight
+//! vector passes over the arrays. A row stops bisecting once a step moves
+//! no bound in any cell, which is exact (see `bisect`).
 //!
 //! The plan is a *pure* reformulation: each cell performs the exact same
 //! IEEE-754 operation sequence as [`System::simulate_sample`] (no
@@ -273,28 +275,21 @@ impl EvalPlan {
     /// Panics in debug builds when `chars` is invalid.
     pub fn eval_row_into(&self, chars: &SampleCharacteristics, out: &mut Vec<SampleMeasurement>) {
         let start = out.len();
-        out.resize(
-            start + self.settings.len(),
-            SampleMeasurement {
-                time: Seconds::ZERO,
-                cpu_energy: Joules::ZERO,
-                mem_energy: Joules::ZERO,
-                cpi: 0.0,
-            },
-        );
+        out.resize(start + self.settings.len(), SampleMeasurement::ZERO);
         self.eval_row_slice(chars, &mut out[start..]);
     }
 
     /// Evaluates one sample at every compiled setting, writing into a
-    /// preallocated row slice (used by incremental recharacterization).
+    /// preallocated row slice of the characterization arena.
     ///
-    /// The bisection runs *iteration-major*: each of the 64 refinement
-    /// steps sweeps the whole row, so the divides of neighbouring settings
-    /// overlap in the pipeline (and vectorize) instead of chaining through
-    /// one cell's 64-step dependency before the next cell starts. Per
-    /// cell, the operation sequence — and therefore every output bit — is
-    /// unchanged from [`System::simulate_sample`]; only the interleaving
-    /// across independent cells differs.
+    /// The bisection runs *iteration-major*: each refinement step sweeps
+    /// the whole row, so the divides of neighbouring settings overlap in
+    /// the pipeline (and vectorize) instead of chaining through one cell's
+    /// 64-step dependency before the next cell starts. Per cell, the
+    /// operation sequence — and therefore every output bit — is unchanged
+    /// from [`System::simulate_sample`]; only the interleaving across
+    /// independent cells differs, and steps that provably change nothing
+    /// are skipped.
     ///
     /// # Panics
     ///
@@ -304,37 +299,8 @@ impl EvalPlan {
         debug_assert!(chars.is_valid(), "invalid sample characteristics");
         assert_eq!(row.len(), self.settings.len(), "row width mismatch");
         let pre = self.pre(chars);
-        let w = self.settings.len();
-
-        // ρ-independent latency per setting, then the bisection brackets.
-        // A zero-traffic sample degenerates cleanly (ρ is exactly 0.0 at
-        // every step, so the converged cell equals the single-evaluation
-        // form the interpreted path uses) — no special case, no branch.
-        let mut base = vec![0.0f64; w];
-        let mut lo = vec![0.0f64; w];
-        let mut hi = vec![0.0f64; w];
-        for j in 0..w {
-            base[j] = (self.ctrl_ns + pre.row_hit_rate * self.hit_ns[j])
-                + pre.one_minus_rhr * self.miss_mix_ns[j];
-            let lo0 = self.total_at_rho(&pre, base[j], j, 0.0) / self.cpu_hz[j];
-            let hi0 = self.total_at_rho(&pre, base[j], j, self.max_util) / self.cpu_hz[j];
-            lo[j] = lo0;
-            hi[j] = hi0.max(lo0 * (1.0 + 1e-12));
-        }
-
-        // Bisect the fixed point of T = core + stall(ρ(T)), whole row per
-        // step. The branch-free select keeps the inner loop a straight
-        // run of arithmetic over contiguous arrays.
-        for _ in 0..64 {
-            for j in 0..w {
-                let mid = 0.5 * (lo[j] + hi[j]);
-                let rho = (pre.bytes / mid / self.eff_bw[j]).min(self.max_util);
-                let t = self.total_at_rho(&pre, base[j], j, rho) / self.cpu_hz[j];
-                let grow = t > mid;
-                lo[j] = if grow { mid } else { lo[j] };
-                hi[j] = if grow { hi[j] } else { mid };
-            }
-        }
+        let (base, mut lo, mut hi) = self.brackets(&pre);
+        self.bisect(&pre, &base, &mut lo, &mut hi);
 
         // Converged evaluation and per-cell post-processing.
         for (j, cell) in row.iter_mut().enumerate() {
@@ -343,6 +309,82 @@ impl EvalPlan {
             let total = self.total_at_rho(&pre, base[j], j, rho);
             *cell = self.finish_cell(chars, &pre, j, total, total / self.cpu_hz[j]);
         }
+    }
+
+    /// The ρ-independent latency of every setting and the initial
+    /// bisection brackets `(base, lo, hi)`: unloaded memory below,
+    /// saturated memory above, widened to at least one part in 10¹² so the
+    /// bracket is never empty.
+    ///
+    /// A zero-traffic sample needs no special case: ρ is exactly 0.0 at
+    /// every step, so its converged cell equals the single-evaluation form
+    /// the interpreted path uses.
+    fn brackets(&self, pre: &SamplePre) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let w = self.settings.len();
+        let mut base = vec![0.0f64; w];
+        let mut lo = vec![0.0f64; w];
+        let mut hi = vec![0.0f64; w];
+        for j in 0..w {
+            base[j] = (self.ctrl_ns + pre.row_hit_rate * self.hit_ns[j])
+                + pre.one_minus_rhr * self.miss_mix_ns[j];
+            let lo0 = self.total_at_rho(pre, base[j], j, 0.0) / self.cpu_hz[j];
+            let hi0 = self.total_at_rho(pre, base[j], j, self.max_util) / self.cpu_hz[j];
+            lo[j] = lo0;
+            hi[j] = hi0.max(lo0 * (1.0 + 1e-12));
+        }
+        (base, lo, hi)
+    }
+
+    /// One bisection step of the fixed point T = core + stall(ρ(T)) for
+    /// setting `j`: the bracket's midpoint replaces whichever bound keeps
+    /// the fixed point inside.
+    ///
+    /// The select returns both bounds as one tuple, which compiles to a
+    /// vector compare and bitwise blends. Keep it that way: two separate
+    /// conditional writes (`lo = if grow { mid } else { lo }` and its
+    /// mirror) compile to conditional stores behind a data-dependent
+    /// branch per cell, and a bisection's decisions are close to coin
+    /// flips.
+    #[inline]
+    fn step(&self, pre: &SamplePre, base: f64, j: usize, (l, h): (f64, f64)) -> (f64, f64) {
+        let mid = 0.5 * (l + h);
+        let rho = (pre.bytes / mid / self.eff_bw[j]).min(self.max_util);
+        let t = self.total_at_rho(pre, base, j, rho) / self.cpu_hz[j];
+        if t > mid {
+            (mid, h)
+        } else {
+            (l, mid)
+        }
+    }
+
+    /// Bisects every cell of the row in place, whole row per step, and
+    /// returns how many steps moved a bound (at most 64).
+    ///
+    /// A step is a pure function of `(lo, hi)`, so once a whole step moves
+    /// no bound every later step would repeat it unchanged: stopping there
+    /// gives the same bits as running all 64 steps. Rows reach that point
+    /// when every bracket has shrunk to adjacent floats. A NaN bound never
+    /// compares equal, so such a row simply runs the full 64.
+    fn bisect(&self, pre: &SamplePre, base: &[f64], lo: &mut [f64], hi: &mut [f64]) -> usize {
+        let w = self.settings.len();
+        assert!(
+            base.len() == w && lo.len() == w && hi.len() == w,
+            "bisection arrays must span the row"
+        );
+        for steps in 0..64 {
+            let mut moved = false;
+            for j in 0..w {
+                let (l, h) = (lo[j], hi[j]);
+                let (nl, nh) = self.step(pre, base[j], j, (l, h));
+                moved |= (nl != l) | (nh != h);
+                lo[j] = nl;
+                hi[j] = nh;
+            }
+            if !moved {
+                return steps;
+            }
+        }
+        64
     }
 }
 
@@ -365,6 +407,26 @@ mod tests {
         v
     }
 
+    /// Asserts the plan's row for `chars` equals [`System::simulate_sample`]
+    /// at every setting, field by field through `to_bits`.
+    fn assert_row_matches(system: &System, plan: &EvalPlan, chars: &SampleCharacteristics) {
+        let mut row = Vec::new();
+        plan.eval_row_into(chars, &mut row);
+        assert_eq!(row.len(), plan.n_settings());
+        for (cell, &setting) in row.iter().zip(plan.settings()) {
+            let direct = system.simulate_sample(chars, setting);
+            let bits = |m: &SampleMeasurement| {
+                [
+                    m.time.value().to_bits(),
+                    m.cpu_energy.value().to_bits(),
+                    m.mem_energy.value().to_bits(),
+                    m.cpi.to_bits(),
+                ]
+            };
+            assert_eq!(bits(cell), bits(&direct), "at {setting} for {chars:?}");
+        }
+    }
+
     #[test]
     fn plan_matches_simulate_sample_bit_for_bit() {
         for system in [
@@ -377,35 +439,81 @@ mod tests {
             ] {
                 let plan = EvalPlan::compile(&system, grid);
                 for chars in samples() {
-                    let mut row = Vec::new();
-                    plan.eval_row_into(&chars, &mut row);
-                    assert_eq!(row.len(), grid.len());
-                    for (j, setting) in grid.settings().enumerate() {
-                        let direct = system.simulate_sample(&chars, setting);
-                        assert_eq!(
-                            row[j].time.value().to_bits(),
-                            direct.time.value().to_bits(),
-                            "time at {setting} for {chars:?}"
-                        );
-                        assert_eq!(
-                            row[j].cpu_energy.value().to_bits(),
-                            direct.cpu_energy.value().to_bits(),
-                            "cpu energy at {setting}"
-                        );
-                        assert_eq!(
-                            row[j].mem_energy.value().to_bits(),
-                            direct.mem_energy.value().to_bits(),
-                            "mem energy at {setting}"
-                        );
-                        assert_eq!(
-                            row[j].cpi.to_bits(),
-                            direct.cpi.to_bits(),
-                            "cpi at {setting}"
-                        );
-                    }
+                    assert_row_matches(&system, &plan, &chars);
                 }
             }
         }
+    }
+
+    /// Steps cell `j` alone until a step moves neither bound, as the row
+    /// loop does for the whole row.
+    fn cell_steps(
+        plan: &EvalPlan,
+        pre: &SamplePre,
+        base: f64,
+        j: usize,
+        bracket: (f64, f64),
+    ) -> usize {
+        let mut bracket = bracket;
+        for steps in 0..64 {
+            let next = plan.step(pre, base, j, bracket);
+            if next == bracket {
+                return steps;
+            }
+            bracket = next;
+        }
+        64
+    }
+
+    #[test]
+    fn rows_stop_at_their_slowest_cells_fixed_point() {
+        let system = System::galaxy_nexus_class();
+        let plan = EvalPlan::compile(&system, FrequencyGrid::fine());
+        let mut chars = SampleCharacteristics::new(0.55, 22.0);
+        chars.mlp = 4.0;
+        let pre = plan.pre(&chars);
+        let (base, mut lo, mut hi) = plan.brackets(&pre);
+        let per_cell: Vec<usize> = (0..plan.n_settings())
+            .map(|j| cell_steps(&plan, &pre, base[j], j, (lo[j], hi[j])))
+            .collect();
+        let slowest = *per_cell.iter().max().unwrap();
+        assert!(
+            *per_cell.iter().min().unwrap() < slowest,
+            "cells must converge at different steps"
+        );
+        assert!(slowest < 64, "the row must stop early");
+        assert_eq!(plan.bisect(&pre, &base, &mut lo, &mut hi), slowest);
+        assert_row_matches(&system, &plan, &chars);
+    }
+
+    #[test]
+    fn saturated_bracket_cells_match() {
+        // Traffic with no exposed stall: the saturated bound equals the
+        // unloaded one, so every bracket starts at the 1e-12 widening.
+        let system = System::galaxy_nexus_class();
+        let plan = EvalPlan::compile(&system, FrequencyGrid::coarse());
+        let mut chars = SampleCharacteristics::new(1.0, 6.0);
+        chars.stall_exposure = 0.0;
+        assert!(chars.dram_bytes() > 0);
+        let pre = plan.pre(&chars);
+        let (base, lo, hi) = plan.brackets(&pre);
+        for j in 0..plan.n_settings() {
+            let hi0 = plan.total_at_rho(&pre, base[j], j, plan.max_util) / plan.cpu_hz[j];
+            assert!(hi0 <= lo[j] * (1.0 + 1e-12), "setting {j} is not saturated");
+            assert_eq!(hi[j], lo[j] * (1.0 + 1e-12));
+        }
+        assert_row_matches(&system, &plan, &chars);
+    }
+
+    #[test]
+    fn zero_traffic_rows_stop_early_and_match() {
+        let system = System::galaxy_nexus_class();
+        let plan = EvalPlan::compile(&system, FrequencyGrid::fine());
+        let chars = SampleCharacteristics::new(0.8, 0.0);
+        let pre = plan.pre(&chars);
+        let (base, mut lo, mut hi) = plan.brackets(&pre);
+        assert!(plan.bisect(&pre, &base, &mut lo, &mut hi) < 64);
+        assert_row_matches(&system, &plan, &chars);
     }
 
     #[test]
@@ -416,15 +524,7 @@ mod tests {
         let chars = SampleCharacteristics::new(1.1, 4.0);
         let mut pushed = Vec::new();
         plan.eval_row_into(&chars, &mut pushed);
-        let mut sliced = vec![
-            SampleMeasurement {
-                time: Seconds::ZERO,
-                cpu_energy: Joules::ZERO,
-                mem_energy: Joules::ZERO,
-                cpi: 0.0,
-            };
-            plan.n_settings()
-        ];
+        let mut sliced = vec![SampleMeasurement::ZERO; plan.n_settings()];
         plan.eval_row_slice(&chars, &mut sliced);
         assert_eq!(pushed, sliced);
     }

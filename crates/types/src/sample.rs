@@ -138,6 +138,15 @@ pub struct SampleMeasurement {
 }
 
 impl SampleMeasurement {
+    /// An all-zero placeholder for preallocated rows that are overwritten
+    /// before they are read (it is not [`Self::is_valid`]).
+    pub const ZERO: Self = Self {
+        time: Seconds::ZERO,
+        cpu_energy: Joules::ZERO,
+        mem_energy: Joules::ZERO,
+        cpi: 0.0,
+    };
+
     /// Total system energy for the sample.
     #[must_use]
     pub fn energy(&self) -> Joules {
